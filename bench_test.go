@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
@@ -232,13 +233,17 @@ func BenchmarkPipelineVsParallel(b *testing.B) {
 // so scaling regressions are visible: each sub-benchmark executes a
 // saturating IP-forwarding mix on 1, 2, 4, and 8 workers (8 spans both
 // sockets) for a fixed virtual window and reports aggregate packets per
-// virtual second plus host-time cost per simulated packet.
+// virtual second plus host-time cost per simulated packet. The timer
+// stops around NewRuntime, whose route-table builds would otherwise
+// dominate, so ns/op and host_ns/pkt cover Run alone; the set-up is
+// reported as setup_ms.
 func BenchmarkRuntime(b *testing.B) {
 	s, _ := benchSetup(b)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			var total uint64
 			var virtSec float64
+			var setup time.Duration
 			for i := 0; i < b.N; i++ {
 				cfg := runtime.Config{
 					Cfg:      s.Cfg,
@@ -247,7 +252,11 @@ func BenchmarkRuntime(b *testing.B) {
 					Warmup:   0.001,
 					Scenario: fmt.Sprintf("bench-%d", workers),
 				}
+				b.StopTimer()
+				start := time.Now()
 				r, err := runtime.NewRuntime(cfg)
+				setup += time.Since(start)
+				b.StartTimer()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -266,6 +275,7 @@ func BenchmarkRuntime(b *testing.B) {
 			if total > 0 {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "host_ns/pkt")
 			}
+			b.ReportMetric(setup.Seconds()*1e3/float64(b.N), "setup_ms")
 		})
 	}
 }

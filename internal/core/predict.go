@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/hw"
@@ -68,6 +70,13 @@ var DefaultSweepGrid = []int{3200, 1600, 800, 400, 200, 100, 50, 25, 0}
 // fixed platform configuration and workload scale. It memoises solo
 // profiles and sweep curves: everything is derived from offline profiling
 // and reused across predictions, exactly as an operator would use it.
+//
+// A Predictor is safe for concurrent use. Its simulations are
+// independent deterministic-engine runs, each on its own platform with
+// seeds fixed by flow type and slot, so it runs them concurrently —
+// at most GOMAXPROCS (read by NewPredictor) at a time — and places each
+// result by its index; the outputs are bit-identical to a serial run.
+// A failed simulation's error is memoised like a result.
 type Predictor struct {
 	Cfg       hw.Config
 	Params    apps.Params
@@ -78,10 +87,40 @@ type Predictor struct {
 	// paper uses 5: one target plus five competitors fill a socket).
 	Competitors int
 
-	solo   map[apps.FlowType]hw.FlowStats
-	curves map[apps.FlowType]Curve
-	sweeps map[apps.FlowType][]SweepSample
-	mixes  map[string][]hw.FlowStats
+	slots chan struct{} // one token per simulation in flight
+
+	solo   memo[apps.FlowType, hw.FlowStats]
+	curves memo[apps.FlowType, Curve]
+	sweeps memo[apps.FlowType, []SweepSample]
+	mixes  memo[string, []hw.FlowStats]
+}
+
+// memo is a concurrency-safe memo table: the first caller of a key
+// computes its value, and concurrent callers of the key wait for it.
+type memo[K comparable, V any] struct {
+	mu    sync.Mutex
+	cells map[K]*memoCell[V]
+}
+
+type memoCell[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+func (m *memo[K, V]) get(k K, compute func() (V, error)) (V, error) {
+	m.mu.Lock()
+	if m.cells == nil {
+		m.cells = make(map[K]*memoCell[V])
+	}
+	c := m.cells[k]
+	if c == nil {
+		c = new(memoCell[V])
+		m.cells[k] = c
+	}
+	m.mu.Unlock()
+	c.once.Do(func() { c.v, c.err = compute() })
+	return c.v, c.err
 }
 
 // SweepSample is one full measurement of a sweep run: the aggregate
@@ -102,95 +141,122 @@ func NewPredictor(cfg hw.Config, params apps.Params, warmup, window float64) *Pr
 		Window:      window,
 		SweepGrid:   DefaultSweepGrid,
 		Competitors: cfg.CoresPerSocket - 1,
-		solo:        make(map[apps.FlowType]hw.FlowStats),
-		curves:      make(map[apps.FlowType]Curve),
-		sweeps:      make(map[apps.FlowType][]SweepSample),
-		mixes:       make(map[string][]hw.FlowStats),
+		slots:       make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
+}
+
+// Simulate runs fn while holding one of the predictor's simulation
+// slots, so that simulations a caller runs beside the predictor's own
+// (such as runtime baselines taken while profiling) share its GOMAXPROCS
+// bound. fn must not call back into the predictor.
+func (p *Predictor) Simulate(fn func() error) error {
+	p.slots <- struct{}{}
+	defer func() { <-p.slots }()
+	return fn()
+}
+
+// run builds and measures one scenario in a simulation slot.
+func (p *Predictor) run(flows []FlowSpec) (*RunResult, error) {
+	var res *RunResult
+	err := p.Simulate(func() (err error) {
+		res, err = Scenario{Cfg: p.Cfg, Params: p.Params, Flows: flows,
+			Warmup: p.Warmup, Window: p.Window}.Run()
+		return err
+	})
+	return res, err
 }
 
 // Solo returns the memoised solo-run statistics of flow type t — the
 // offline profile from which both the flow's aggressiveness (refs/sec)
 // and its baseline throughput are read.
 func (p *Predictor) Solo(t apps.FlowType) (hw.FlowStats, error) {
-	if s, ok := p.solo[t]; ok {
-		return s, nil
-	}
-	sc := Scenario{
-		Cfg:    p.Cfg,
-		Params: p.Params,
-		Flows:  []FlowSpec{{Type: t, Core: 0, Domain: 0, Seed: SeedFor(t, 0)}},
-		Warmup: p.Warmup,
-		Window: p.Window,
-	}
-	res, err := sc.Run()
-	if err != nil {
-		return hw.FlowStats{}, err
-	}
-	p.solo[t] = res.Stats[0]
-	return res.Stats[0], nil
+	return p.solo.get(t, func() (hw.FlowStats, error) {
+		res, err := p.run([]FlowSpec{{Type: t, Core: 0, Domain: 0, Seed: SeedFor(t, 0)}})
+		if err != nil {
+			return hw.FlowStats{}, err
+		}
+		return res.Stats[0], nil
+	})
 }
 
 // Sweep returns the memoised sweep samples of flow type t: the target's
 // full statistics when co-running with SYN competitors at each grid rate
-// (step 2 of the method), sorted by competition.
+// (step 2 of the method), sorted by competition. The grid points run
+// concurrently; each lands at its grid index, so the sort sees the same
+// input order as a serial sweep.
 func (p *Predictor) Sweep(t apps.FlowType) ([]SweepSample, error) {
-	if s, ok := p.sweeps[t]; ok {
-		return s, nil
-	}
-	var samples []SweepSample
-	for _, k := range p.SweepGrid {
-		flows := []FlowSpec{{Type: t, Core: 0, Domain: 0, Seed: SeedFor(t, 0)}}
-		for i := 1; i <= p.Competitors; i++ {
-			flows = append(flows, FlowSpec{
-				Type: apps.SYN, Core: i, Domain: 0,
-				Seed: SeedFor(apps.SYN, i), SynCompute: k,
-			})
+	return p.sweeps.get(t, func() ([]SweepSample, error) {
+		samples := make([]SweepSample, len(p.SweepGrid))
+		errs := make([]error, len(p.SweepGrid))
+		var wg sync.WaitGroup
+		for i, k := range p.SweepGrid {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				samples[i], errs[i] = p.sweepPoint(t, k)
+			}()
 		}
-		res, err := Scenario{Cfg: p.Cfg, Params: p.Params, Flows: flows,
-			Warmup: p.Warmup, Window: p.Window}.Run()
-		if err != nil {
-			return nil, err
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
 		}
-		var competing float64
-		for i := 1; i <= p.Competitors; i++ {
-			competing += res.Stats[i].L3RefsPerSec()
-		}
-		samples = append(samples, SweepSample{
-			CompetingRefsPerSec: competing,
-			Target:              res.Stats[0],
+		sort.Slice(samples, func(i, j int) bool {
+			return samples[i].CompetingRefsPerSec < samples[j].CompetingRefsPerSec
+		})
+		return samples, nil
+	})
+}
+
+// sweepPoint co-runs t with the SYN competitors at compute setting k.
+func (p *Predictor) sweepPoint(t apps.FlowType, k int) (SweepSample, error) {
+	flows := []FlowSpec{{Type: t, Core: 0, Domain: 0, Seed: SeedFor(t, 0)}}
+	for i := 1; i <= p.Competitors; i++ {
+		flows = append(flows, FlowSpec{
+			Type: apps.SYN, Core: i, Domain: 0,
+			Seed: SeedFor(apps.SYN, i), SynCompute: k,
 		})
 	}
-	sort.Slice(samples, func(i, j int) bool {
-		return samples[i].CompetingRefsPerSec < samples[j].CompetingRefsPerSec
-	})
-	p.sweeps[t] = samples
-	return samples, nil
+	res, err := p.run(flows)
+	if err != nil {
+		return SweepSample{}, err
+	}
+	var competing float64
+	for i := 1; i <= p.Competitors; i++ {
+		competing += res.Stats[i].L3RefsPerSec()
+	}
+	return SweepSample{CompetingRefsPerSec: competing, Target: res.Stats[0]}, nil
 }
 
 // Curve returns the memoised drop-versus-competition curve of flow type
-// t, derived from the sweep samples.
+// t, derived from the sweep samples. The solo run overlaps the sweep.
 func (p *Predictor) Curve(t apps.FlowType) (Curve, error) {
-	if c, ok := p.curves[t]; ok {
-		return c, nil
-	}
-	solo, err := p.Solo(t)
-	if err != nil {
-		return Curve{}, err
-	}
-	samples, err := p.Sweep(t)
-	if err != nil {
-		return Curve{}, err
-	}
-	curve := Curve{Target: t, Points: []CurvePoint{{0, 0}}}
-	for _, s := range samples {
-		curve.Points = append(curve.Points, CurvePoint{
-			CompetingRefsPerSec: s.CompetingRefsPerSec,
-			Drop:                hw.PerformanceDrop(solo, s.Target),
-		})
-	}
-	p.curves[t] = curve
-	return curve, nil
+	return p.curves.get(t, func() (Curve, error) {
+		var solo hw.FlowStats
+		var soloErr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			solo, soloErr = p.Solo(t)
+		}()
+		samples, err := p.Sweep(t)
+		<-done
+		if soloErr != nil {
+			return Curve{}, soloErr
+		}
+		if err != nil {
+			return Curve{}, err
+		}
+		curve := Curve{Target: t, Points: []CurvePoint{{0, 0}}}
+		for _, s := range samples {
+			curve.Points = append(curve.Points, CurvePoint{
+				CompetingRefsPerSec: s.CompetingRefsPerSec,
+				Drop:                hw.PerformanceDrop(solo, s.Target),
+			})
+		}
+		return curve, nil
+	})
 }
 
 // Prediction is the predicted contention-induced drop for one flow.
@@ -254,21 +320,21 @@ func (p *Predictor) MeasureMix(mix []apps.FlowType) ([]hw.FlowStats, []apps.Flow
 	}
 	sorted := append([]apps.FlowType(nil), mix...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	key := mixKey(sorted)
-	if st, ok := p.mixes[key]; ok {
-		return st, sorted, nil
-	}
-	flows := make([]FlowSpec, len(sorted))
-	for i, t := range sorted {
-		flows[i] = FlowSpec{Type: t, Core: i, Domain: 0, Seed: SeedFor(t, i)}
-	}
-	res, err := Scenario{Cfg: p.Cfg, Params: p.Params, Flows: flows,
-		Warmup: p.Warmup, Window: p.Window}.Run()
+	stats, err := p.mixes.get(mixKey(sorted), func() ([]hw.FlowStats, error) {
+		flows := make([]FlowSpec, len(sorted))
+		for i, t := range sorted {
+			flows[i] = FlowSpec{Type: t, Core: i, Domain: 0, Seed: SeedFor(t, i)}
+		}
+		res, err := p.run(flows)
+		if err != nil {
+			return nil, err
+		}
+		return res.Stats, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	p.mixes[key] = res.Stats
-	return res.Stats, sorted, nil
+	return stats, sorted, nil
 }
 
 // MeasuredDrops returns each flow's measured contention-induced drop in

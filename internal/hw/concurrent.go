@@ -5,9 +5,12 @@ package hw
 // instead runs one goroutine per simulated core and keeps core clocks
 // loosely synchronised with a time quantum. ExecOps is the per-core
 // execution primitive for that mode: it replays a packet's trace against
-// the simulated hierarchy exactly as Engine.step does, but takes the
-// owning socket's lock around every cache-state mutation so that
-// same-socket workers may run concurrently.
+// the simulated hierarchy exactly as Engine.step does, holding the owning
+// socket's lock for the whole trace so that same-socket workers may run
+// concurrently. One acquisition per trace rather than per memory
+// reference keeps the lock's hand-offs off the per-reference path; a
+// worker's Go-side element processing, which builds the next trace,
+// still overlaps its peers' replays.
 //
 // Lock order: Socket.mu → Channel.mu. Sockets never lock each other —
 // an access only ever touches its own socket's caches; remote-domain
@@ -41,6 +44,7 @@ func (c *Core) ExecStall(ops []Op) {
 func (c *Core) execTrace(ops []Op) {
 	cfg := &c.Socket.platform.Cfg
 	cnt := &c.Counters
+	c.Socket.mu.Lock()
 	for _, op := range ops {
 		switch op.Kind {
 		case OpCompute:
@@ -53,9 +57,7 @@ func (c *Core) execTrace(ops []Op) {
 			}
 		case OpLoad, OpStore:
 			c.curElem = op.Elem
-			c.Socket.mu.Lock()
 			lat := c.Access(c.clock, op.Addr, op.Kind == OpStore, op.Func)
-			c.Socket.mu.Unlock()
 			c.clock += lat
 			cnt.Cycles += lat
 			cnt.Instructions++
@@ -65,9 +67,7 @@ func (c *Core) execTrace(ops []Op) {
 			}
 		case OpLoadStream:
 			c.curElem = op.Elem
-			c.Socket.mu.Lock()
 			lat := c.Access(c.clock, op.Addr, false, op.Func)
-			c.Socket.mu.Unlock()
 			if mlp := cfg.StreamMLP; mlp > 1 {
 				lat = (lat + mlp - 1) / mlp
 			}
@@ -79,13 +79,12 @@ func (c *Core) execTrace(ops []Op) {
 				c.elems[op.Elem].Cycles += lat
 			}
 		case OpDMAWrite:
-			c.Socket.mu.Lock()
 			c.DMAWrite(c.clock, op.Addr)
-			c.Socket.mu.Unlock()
 		default:
 			panic("hw: unknown op kind in ExecOps")
 		}
 	}
+	c.Socket.mu.Unlock()
 }
 
 // BoundChannelWaits caps the queueing delay of every channel on the

@@ -112,32 +112,41 @@ func (e *Engine) step(f *Flow) bool {
 	return true
 }
 
-// runnable returns the attached flow with the smallest core clock that has
-// not exhausted its source, or nil when none remain.
-func (e *Engine) runnable(limit uint64) *Flow {
-	var best *Flow
+// next returns the attached flow with the smallest core clock below limit
+// that has not exhausted its source (ties go to the flow attached first),
+// or nil when none remain. A step advances only the stepping flow's
+// clock, so that flow stays the choice while its clock is below stop:
+// limit, the clock of any runnable flow attached before it, and one past
+// the clock of any attached after it.
+func (e *Engine) next(limit uint64) (best *Flow, stop uint64) {
 	for _, f := range e.Flows {
-		if f.done || f.Core.clock >= limit {
-			continue
-		}
-		if best == nil || f.Core.clock < best.Core.clock {
-			best = f
+		c := f.Core.clock
+		switch {
+		case f.done || c >= limit:
+		case best == nil:
+			best, stop = f, limit
+		case c < best.Core.clock:
+			// Every flow seen so far is attached earlier and its clock is
+			// at least the old best's.
+			best, stop = f, best.Core.clock
+		case c+1 < stop:
+			stop = c + 1
 		}
 	}
-	return best
+	return best, stop
 }
 
 // RunUntil advances every flow until its core's local clock reaches at
 // least t (or its source is exhausted). Flows are interleaved in global
-// virtual-time order throughout.
+// virtual-time order throughout; the chosen flow keeps stepping until
+// another would be chosen, instead of rescanning the flows per micro-op.
 func (e *Engine) RunUntil(t uint64) {
 	for {
-		f := e.runnable(t)
+		f, stop := e.next(t)
 		if f == nil {
 			return
 		}
-		if !e.step(f) {
-			continue
+		for f.Core.clock < stop && e.step(f) {
 		}
 	}
 }

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -17,6 +18,7 @@ type Core struct {
 	Counters Counters
 
 	clock uint64 // local virtual time in cycles
+	bit   uint64 // 1 << the core's index on its socket, for L3 sharer masks
 
 	// elems is the per-element attribution table installed by
 	// SetElemTable (nil = attribution off); curElem is the slot of the op
@@ -74,6 +76,9 @@ func NewPlatform(cfg Config) *Platform {
 			QPI:      NewChannel(fmt.Sprintf("socket%d.qpi", s), cfg.QPIService),
 			platform: p,
 		}
+		// Sharer masks are one bit per core; a wider socket back-invalidates
+		// by scanning every core.
+		sock.L3.tracking = cfg.InclusiveL3 && cfg.CoresPerSocket <= 64
 		for i := 0; i < cfg.CoresPerSocket; i++ {
 			id := s*cfg.CoresPerSocket + i
 			core := &Core{
@@ -81,6 +86,7 @@ func NewPlatform(cfg Config) *Platform {
 				Socket: sock,
 				L1:     NewCache(fmt.Sprintf("core%d.L1D", id), cfg.L1D, ReplaceLRU),
 				L2:     NewCache(fmt.Sprintf("core%d.L2", id), cfg.L2, ReplaceLRU),
+				bit:    1 << (i & 63),
 			}
 			sock.Cores = append(sock.Cores, core)
 			p.Cores = append(p.Cores, core)
@@ -141,23 +147,29 @@ func (p *Platform) SetDomainHome(d, socket int) {
 // copies across the socket, which is the mechanism by which one flow's
 // cache pressure destroys another flow's L1/L2 locality.
 //
+// Each level's miss leaves its victim pending in that cache, so the fill
+// that follows does not scan the set again (see Cache). For an inclusive
+// L3 the core's bit is added to the line's sharer mask before the fills
+// place it in the private caches.
+//
 //dataplane:owner the simulated core is the single writer of its element cells
 func (c *Core) Access(now uint64, addr Addr, write bool, fn FuncID) uint64 {
 	cfg := &c.Socket.platform.Cfg
 	cnt := &c.Counters
+	line := uint64(addr >> LineShift)
 
 	lat := cfg.L1Latency
 	cnt.L1Refs++
-	if c.L1.Access(addr, write) {
+	if c.L1.lookup(line, write) >= 0 {
 		cnt.L1Hits++
 		return lat
 	}
 
 	lat += cfg.L2Latency
 	cnt.L2Refs++
-	if c.L2.Access(addr, write) {
+	if c.L2.lookup(line, write) >= 0 {
 		cnt.L2Hits++
-		c.fillL1(now, addr)
+		c.fillL1(now, line)
 		return lat
 	}
 
@@ -169,49 +181,48 @@ func (c *Core) Access(now uint64, addr Addr, write bool, fn FuncID) uint64 {
 	if c.elems != nil {
 		c.elems[c.curElem].L3Refs++
 	}
-	if sock.L3.Access(addr, false) {
+	way := sock.L3.lookup(line, false)
+	if way >= 0 {
 		cnt.L3Hits++
 		cnt.Func[fn].L3Hits++
 		if c.elems != nil {
 			c.elems[c.curElem].L3Hits++
 		}
-		c.fillL2(now, addr)
-		c.fillL1(now, addr)
-		if write {
-			// The private copy carries the dirtiness; the L3 copy will be
-			// marked dirty when the private copy writes back.
-			c.L1.MarkDirty(addr)
+	} else {
+		cnt.L3Misses++
+		cnt.Func[fn].L3Misses++
+		if c.elems != nil {
+			c.elems[c.curElem].L3Misses++
 		}
-		return lat
-	}
-	cnt.L3Misses++
-	cnt.Func[fn].L3Misses++
-	if c.elems != nil {
-		c.elems[c.curElem].L3Misses++
-	}
 
-	// Memory access, possibly across the interconnect.
-	home := sock.platform.HomeSocket(addr)
-	if home != sock {
-		cnt.RemoteRefs++
-		qwait := sock.QPI.Occupy(now + lat)
-		cnt.QPIQueueCycles += qwait
-		lat += qwait + cfg.QPILatency
+		// Memory access, possibly across the interconnect.
+		home := sock.platform.HomeSocket(addr)
+		if home != sock {
+			cnt.RemoteRefs++
+			qwait := sock.QPI.Occupy(now + lat)
+			cnt.QPIQueueCycles += qwait
+			lat += qwait + cfg.QPILatency
+		}
+		mwait := home.Mem.Occupy(now + lat)
+		cnt.MemQueueCycles += mwait
+		lat += mwait + cfg.DRAMLatency
+		if home != sock {
+			// Response hop: the return traversal adds latency but the request
+			// already reserved the link slot.
+			lat += cfg.QPILatency
+		}
+		way = c.insertL3(now, line, write)
 	}
-	mwait := home.Mem.Occupy(now + lat)
-	cnt.MemQueueCycles += mwait
-	lat += mwait + cfg.DRAMLatency
-	if home != sock {
-		// Response hop: the return traversal adds latency but the request
-		// already reserved the link slot.
-		lat += cfg.QPILatency
+	if sock.L3.sharers != nil {
+		sock.L3.sharers[way] |= c.bit
 	}
-
-	c.insertL3(now, addr, write)
-	c.fillL2(now, addr)
-	c.fillL1(now, addr)
-	if write {
-		c.L1.MarkDirty(addr)
+	c.insertL2(now, line, false)
+	w1 := c.fillL1(now, line)
+	if write && c.L1.tags[w1] == line {
+		// The private copy carries the dirtiness; the L3 copy will be
+		// marked dirty when the private copy writes back. The line is at
+		// w1 unless a back-invalidation removed it during the fill.
+		c.L1.meta[w1] |= 1
 	}
 	return lat
 }
@@ -221,59 +232,87 @@ func (c *Core) Access(now uint64, addr Addr, write bool, fn FuncID) uint64 {
 // any stale private copies are invalidated. The core is not charged
 // cycles; the NIC, not the core, does the work.
 func (c *Core) DMAWrite(now uint64, addr Addr) {
-	for _, peer := range c.Socket.Cores {
-		peer.L1.Invalidate(addr)
-		peer.L2.Invalidate(addr)
+	line := uint64(addr >> LineShift)
+	sock := c.Socket
+	if l3 := sock.L3; l3.filtering() {
+		// Under inclusion only lines the L3 holds can have private
+		// copies, and only on the cores in their sharer mask.
+		if w := l3.find(line); w >= 0 {
+			sock.backInvalidate(line, l3.sharers[w])
+			l3.sharers[w] = 0
+		}
+	} else {
+		for _, peer := range sock.Cores {
+			peer.L1.invalidate(line)
+			peer.L2.invalidate(line)
+		}
 	}
-	c.insertL3(now, addr, true)
+	c.insertL3(now, line, true)
 }
 
-func (c *Core) fillL1(now uint64, addr Addr) {
-	victim, dirty, evicted := c.L1.Insert(addr, false)
-	if evicted && dirty {
+// fillL1 places line in the L1 and returns its way.
+func (c *Core) fillL1(now uint64, line uint64) int {
+	way, ev := c.L1.fill(line, false)
+	if ev.ok && ev.dirty {
 		// Write the victim back into L2; if L2 no longer holds it the
 		// write-back allocates there (and may cascade).
-		if !c.L2.MarkDirty(victim) {
-			c.insertL2(now, victim, true)
+		if !c.L2.markDirty(ev.line) {
+			c.insertL2(now, ev.line, true)
+		}
+	}
+	return way
+}
+
+func (c *Core) insertL2(now uint64, line uint64, dirty bool) {
+	_, ev := c.L2.fill(line, dirty)
+	if ev.ok && ev.dirty {
+		if !c.Socket.L3.markDirty(ev.line) {
+			c.insertL3(now, ev.line, true)
 		}
 	}
 }
 
-func (c *Core) fillL2(now uint64, addr Addr) {
-	c.insertL2(now, addr, false)
-}
-
-func (c *Core) insertL2(now uint64, addr Addr, dirty bool) {
-	victim, vdirty, evicted := c.L2.Insert(addr, dirty)
-	if evicted && vdirty {
-		if !c.Socket.L3.MarkDirty(victim) {
-			c.insertL3(now, victim, true)
-		}
-	}
-}
-
-func (c *Core) insertL3(now uint64, addr Addr, dirty bool) {
+// insertL3 places line in the socket's L3 and returns its way.
+func (c *Core) insertL3(now uint64, line uint64, dirty bool) int {
 	sock := c.Socket
-	victim, vdirty, evicted := sock.L3.Insert(addr, dirty)
-	if !evicted {
-		return
+	way, ev := sock.L3.fill(line, dirty)
+	if !ev.ok {
+		return way
 	}
+	vdirty := ev.dirty
 	if sock.platform.Cfg.InclusiveL3 {
 		// Inclusive L3: displaced lines may not survive in private caches.
-		for _, peer := range sock.Cores {
-			if p, d := peer.L1.Invalidate(victim); p && d {
-				vdirty = true
-			}
-			if p, d := peer.L2.Invalidate(victim); p && d {
-				vdirty = true
+		if sock.L3.filtering() {
+			vdirty = sock.backInvalidate(ev.line, ev.sharers) || vdirty
+		} else {
+			for _, peer := range sock.Cores {
+				vdirty = peer.invalidatePrivate(ev.line) || vdirty
 			}
 		}
 	}
 	if vdirty {
 		// Posted write-back: consumes controller bandwidth, adds no
 		// latency to the access that triggered the eviction.
-		sock.platform.HomeSocket(victim).Mem.Occupy(now)
+		sock.platform.HomeSocket(Addr(ev.line << LineShift)).Mem.Occupy(now)
 	}
+	return way
+}
+
+// backInvalidate removes line from the L1 and L2 of the cores in mask,
+// in ascending order, and reports whether any removed copy was dirty.
+func (s *Socket) backInvalidate(line, mask uint64) (dirty bool) {
+	for ; mask != 0; mask &= mask - 1 {
+		dirty = s.Cores[bits.TrailingZeros64(mask)].invalidatePrivate(line) || dirty
+	}
+	return dirty
+}
+
+// invalidatePrivate removes line from the core's L1 and L2 and reports
+// whether either copy was dirty.
+func (c *Core) invalidatePrivate(line uint64) bool {
+	_, d1 := c.L1.invalidate(line)
+	_, d2 := c.L2.invalidate(line)
+	return d1 || d2
 }
 
 // FlushCaches invalidates every cache on the platform and resets channel
@@ -287,5 +326,8 @@ func (p *Platform) FlushCaches() {
 			c.L1.Flush()
 			c.L2.Flush()
 		}
+		// Every cache of the socket is empty, so the sharer masks cover
+		// every private holder again.
+		s.L3.sharersLost = false
 	}
 }

@@ -15,6 +15,7 @@ package iplookup
 
 import (
 	"fmt"
+	"slices"
 
 	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
@@ -238,9 +239,14 @@ func (t *RadixTrie) LookupPlain(dst uint32) uint32 {
 // mirroring the paper's 128000-entry table loaded with random prefixes.
 // Next hops index an adjacency table of n+1 entries (see Element).
 func RandomTable(t *RadixTrie, n int, seed uint64) {
+	type route struct {
+		prefix, nexthop uint32
+		plen            int
+	}
 	r := rng.New(seed)
-	t.Insert(0, 0, 0) // default route: every lookup resolves
-	for i := 0; i < n; i++ {
+	routes := make([]route, n)
+	keys := make([]uint64, n)
+	for i := range routes {
 		var plen int
 		switch p := r.Float64(); {
 		case p < 0.20:
@@ -250,6 +256,39 @@ func RandomTable(t *RadixTrie, n int, seed uint64) {
 		default:
 			plen = 24
 		}
-		t.Insert(r.Uint32(), plen, uint32(r.Intn(n))+1)
+		prefix := r.Uint32()
+		routes[i] = route{prefix, uint32(r.Intn(n)) + 1, plen}
+		keys[i] = uint64(prefix&maskOf(plen))<<8 | uint64(plen)
 	}
+	t.reserve(keys)
+	t.Insert(0, 0, 0) // default route: every lookup resolves
+	for _, rt := range routes {
+		t.Insert(rt.prefix, rt.plen, rt.nexthop)
+	}
+}
+
+// reserve sizes the node arrays for inserting the given routes, each
+// packed as masked prefix<<8 | length, so that the build allocates them
+// once instead of growing them by doubling. It sorts keys.
+func (t *RadixTrie) reserve(keys []uint64) {
+	slices.Sort(keys)
+	nodes, entries := len(t.level), len(t.entries)
+	for l, b := range t.bounds[:len(t.bounds)-1] {
+		// A route longer than a level's boundary descends into the child
+		// its top b bits select at that level; count the distinct ones.
+		count, last := 0, uint64(1)<<32
+		for _, k := range keys {
+			if int(k&0xff) <= b {
+				continue
+			}
+			if top := k >> 8 >> (32 - b); top != last {
+				count, last = count+1, top
+			}
+		}
+		nodes += count
+		entries += count << t.strides[l+1]
+	}
+	t.entries = slices.Grow(t.entries, entries-len(t.entries))
+	t.level = slices.Grow(t.level, nodes-len(t.level))
+	t.offset = slices.Grow(t.offset, nodes-len(t.offset))
 }

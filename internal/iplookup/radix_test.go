@@ -232,3 +232,38 @@ func TestDeterministicTableConstruction(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveSizesBuildExactly checks that reserve predicts the node
+// arrays a set of insertions needs: the build never regrows them, and
+// the reservation exceeds the need only by allocator rounding.
+func TestReserveSizesBuildExactly(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		r := rng.New(seed)
+		n := 1 + r.Intn(3000)
+		prefixes := make([]uint32, n)
+		plens := make([]int, n)
+		keys := make([]uint64, n)
+		for i := range prefixes {
+			prefixes[i], plens[i] = r.Uint32(), r.Intn(33)
+			keys[i] = uint64(prefixes[i]&maskOf(plens[i]))<<8 | uint64(plens[i])
+		}
+		tr := newTrie()
+		tr.reserve(keys)
+		entries, nodes := cap(tr.entries), cap(tr.level)
+		for i := range prefixes {
+			tr.Insert(prefixes[i], plens[i], uint32(i))
+		}
+		if cap(tr.entries) != entries || cap(tr.level) != nodes || cap(tr.offset) < len(tr.offset) {
+			t.Fatalf("seed %d: build regrew the arrays: entries cap %d -> %d, nodes cap %d -> %d",
+				seed, entries, cap(tr.entries), nodes, cap(tr.level))
+		}
+		// Size classes round by at most 1/8, large allocations to 8 KiB.
+		rounded := func(need, elemBytes int) int { return need + need/8 + 8192/elemBytes }
+		if entries > rounded(len(tr.entries), 12) {
+			t.Fatalf("seed %d: reserved %d entries for %d", seed, entries, len(tr.entries))
+		}
+		if nodes > rounded(len(tr.level), 4) {
+			t.Fatalf("seed %d: reserved %d nodes for %d", seed, nodes, len(tr.level))
+		}
+	}
+}

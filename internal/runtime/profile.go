@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"slices"
+	"sync"
+
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
 	"pktpredict/internal/hw"
@@ -13,44 +16,78 @@ import (
 // admission limits, drop baselines, and prediction curves — the exact
 // artefacts an operator would ship from a profiling testbed to
 // production.
+//
+// Flow types, their sweep points and their element-baseline runs all
+// proceed concurrently, at most GOMAXPROCS simulations at a time (see
+// core.Predictor); the engine outputs equal a serial run's bit for bit.
 func ProfileFlows(cfg hw.Config, params apps.Params, warmup, window float64, grid []int, types []apps.FlowType) (map[apps.FlowType]FlowProfile, error) {
 	p := core.NewPredictor(cfg, params, warmup, window)
 	if len(grid) > 0 {
 		p.SweepGrid = grid
 	}
-	out := make(map[apps.FlowType]FlowProfile, len(types))
+	var uniq []apps.FlowType
 	for _, t := range types {
-		if _, done := out[t]; done {
-			continue
+		if !slices.Contains(uniq, t) {
+			uniq = append(uniq, t)
 		}
-		solo, err := p.Solo(t)
-		if err != nil {
-			return nil, err
+	}
+	profs := make([]FlowProfile, len(uniq))
+	errs := make([]error, len(uniq))
+	var wg sync.WaitGroup
+	for i, t := range uniq {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			profs[i], errs[i] = profileFlow(p, cfg, params, t, warmup, window)
+		}()
+	}
+	wg.Wait()
+	out := make(map[apps.FlowType]FlowProfile, len(uniq))
+	for i, t := range uniq {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		curve, err := p.Curve(t)
-		if err != nil {
-			return nil, err
-		}
-		prof := FlowProfile{
-			SoloPPS:        solo.Throughput(),
-			SoloRefsPerSec: solo.L3RefsPerSec(),
-			Curve:          curve,
-		}
-		if !t.Synthetic() {
-			// Per-element baselines come from a brief solo run on the
-			// runtime itself rather than the engine: the runtime's build
-			// path (graph surgery, receive rings, recycling) is the one
-			// the live tables will measure, so node names and overhead
-			// attribution match exactly.
-			elems, err := soloElementBaselines(cfg, params, t, warmup, window)
-			if err != nil {
-				return nil, err
-			}
-			prof.Elements = elems
-		}
-		out[t] = prof
+		out[t] = profs[i]
 	}
 	return out, nil
+}
+
+// profileFlow profiles one flow type: the predictor's solo run and
+// curve, and — beside them, in one of the predictor's slots — the
+// runtime's per-element baselines.
+func profileFlow(p *core.Predictor, cfg hw.Config, params apps.Params, t apps.FlowType, warmup, window float64) (FlowProfile, error) {
+	var elems map[string]ElemBaseline
+	var elemErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if t.Synthetic() {
+			return
+		}
+		// Per-element baselines come from a brief solo run on the
+		// runtime itself rather than the engine: the runtime's build
+		// path (graph surgery, receive rings, recycling) is the one
+		// the live tables will measure, so node names and overhead
+		// attribution match exactly.
+		elemErr = p.Simulate(func() (err error) {
+			elems, err = soloElementBaselines(cfg, params, t, warmup, window)
+			return err
+		})
+	}()
+	curve, curveErr := p.Curve(t)
+	solo, soloErr := p.Solo(t)
+	<-done
+	for _, err := range []error{soloErr, curveErr, elemErr} {
+		if err != nil {
+			return FlowProfile{}, err
+		}
+	}
+	return FlowProfile{
+		SoloPPS:        solo.Throughput(),
+		SoloRefsPerSec: solo.L3RefsPerSec(),
+		Curve:          curve,
+		Elements:       elems,
+	}, nil
 }
 
 // soloElementBaselines measures one flow type's per-element per-packet
