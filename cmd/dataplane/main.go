@@ -1,8 +1,8 @@
 // Command dataplane runs the concurrent multi-core runtime on a
 // scenario: it profiles the scenario's flow types offline (solo runs and
 // drop-versus-competition sweeps on the deterministic engine), then
-// executes the scenario on worker goroutines — one per simulated core —
-// and reports per-flow observed throughput and drop next to the paper's
+// executes the scenario on one worker per simulated core — one goroutine
+// per socket — and reports per-flow observed throughput and drop next to the paper's
 // prediction, plus any admission throttling and live re-placement the
 // control loop performed.
 //

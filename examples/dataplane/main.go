@@ -1,8 +1,9 @@
 // Dataplane example: assemble a custom concurrent runtime
 // programmatically — two IP-forwarding replicas sharded by RSS flow hash
-// plus one monitoring flow, executed on three worker goroutines (one per
-// simulated core) — run it for a few virtual milliseconds, and read both
-// the final report and the live telemetry the control loop sampled.
+// plus one monitoring flow, executed on three workers (one per simulated
+// core, driven by their socket's goroutine) — run it for a few virtual
+// milliseconds, and read both the final report and the live telemetry
+// the control loop sampled.
 //
 // For the builtin scenarios with offline-profiled prediction, admission
 // control, and live re-placement, see cmd/dataplane.

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"testing"
 
+	"pktpredict/internal/aes"
 	"pktpredict/internal/click"
 	"pktpredict/internal/dpi"
 	"pktpredict/internal/handoff"
@@ -220,6 +221,15 @@ func TestHotPathAllocs(t *testing.T) {
 		banIP++
 		ban.Check(ctx, banIP)
 	})
+
+	// aes: the VPN element's per-packet payload encryption.
+	aesc, err := aes.NewCipher(make([]byte, aes.KeySize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var iv [16]byte
+	payload236 := make([]byte, 236)
+	gate(t, "aes.Cipher.CTR", func() { iv[0]++; aesc.CTR(iv, payload236) })
 }
 
 // hotpathDirect lists the //dataplane:hotpath functions TestHotPathAllocs
@@ -265,6 +275,7 @@ var hotpathDirect = map[string]bool{
 	"dpi.SigTable.Match":            true,
 	"dpi.Entropy.EstimateBits":      true,
 	"dpi.BanTable.Check":            true,
+	"aes.Cipher.CTR":                true,
 }
 
 // hotpathIndirect lists annotated functions that cannot be driven from

@@ -2,9 +2,10 @@ package aes
 
 import (
 	"bytes"
+	stdaes "crypto/aes"
+	"crypto/cipher"
 	"encoding/hex"
 	"testing"
-	"testing/quick"
 
 	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
@@ -21,19 +22,28 @@ func unhex(t *testing.T, s string) []byte {
 	return b
 }
 
+// encryptBlock returns the cipher's encryption of one block: CTR over
+// 16 zero bytes with the block as the counter is exactly E(block).
+func encryptBlock(t *testing.T, key, block []byte) []byte {
+	t.Helper()
+	c, err := NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ctr [16]byte
+	copy(ctr[:], block)
+	out := make([]byte, 16)
+	c.CTR(ctr, out)
+	return out
+}
+
 // FIPS-197 Appendix C.1 known-answer test.
 func TestFIPS197Vector(t *testing.T) {
 	key := unhex(t, "000102030405060708090a0b0c0d0e0f")
 	pt := unhex(t, "00112233445566778899aabbccddeeff")
 	want := unhex(t, "69c4e0d86a7b0430d8cdb78070b4c55a")
-	c, err := NewCipher(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 16)
-	c.Encrypt(got, pt)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("Encrypt = %x, want %x", got, want)
+	if got := encryptBlock(t, key, pt); !bytes.Equal(got, want) {
+		t.Fatalf("E(pt) = %x, want %x", got, want)
 	}
 }
 
@@ -42,49 +52,8 @@ func TestFIPS197AppendixB(t *testing.T) {
 	key := unhex(t, "2b7e151628aed2a6abf7158809cf4f3c")
 	pt := unhex(t, "3243f6a8885a308d313198a2e0370734")
 	want := unhex(t, "3925841d02dc09fbdc118597196a0b32")
-	c, _ := NewCipher(key)
-	got := make([]byte, 16)
-	c.Encrypt(got, pt)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("Encrypt = %x, want %x", got, want)
-	}
-}
-
-func TestDecryptInvertsEncrypt(t *testing.T) {
-	key := unhex(t, "000102030405060708090a0b0c0d0e0f")
-	c, _ := NewCipher(key)
-	pt := unhex(t, "00112233445566778899aabbccddeeff")
-	buf := make([]byte, 16)
-	c.Encrypt(buf, pt)
-	c.Decrypt(buf, buf)
-	if !bytes.Equal(buf, pt) {
-		t.Fatalf("round trip = %x, want %x", buf, pt)
-	}
-}
-
-// Property: Decrypt(Encrypt(x)) == x for random keys and blocks.
-func TestEncryptDecryptRoundTripQuick(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		key := make([]byte, 16)
-		r.Fill(key)
-		c, err := NewCipher(key)
-		if err != nil {
-			return false
-		}
-		pt := make([]byte, 16)
-		r.Fill(pt)
-		ct := make([]byte, 16)
-		c.Encrypt(ct, pt)
-		if bytes.Equal(ct, pt) {
-			return false // encryption must change the block
-		}
-		out := make([]byte, 16)
-		c.Decrypt(out, ct)
-		return bytes.Equal(out, pt)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	if got := encryptBlock(t, key, pt); !bytes.Equal(got, want) {
+		t.Fatalf("E(pt) = %x, want %x", got, want)
 	}
 }
 
@@ -142,6 +111,42 @@ func TestCTRCounterOverflow(t *testing.T) {
 	}
 }
 
+// TestCTRMatchesStdlib checks CTR against crypto/cipher's CTR stream
+// for every payload length from 0 to 600 bytes (whole and partial final
+// blocks) and for an IV whose 16-byte counter wraps mid-payload.
+func TestCTRMatchesStdlib(t *testing.T) {
+	r := rng.New(7)
+	key := make([]byte, KeySize)
+	r.Fill(key)
+	c, err := NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := stdaes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wrap [16]byte
+	for i := range wrap {
+		wrap[i] = 0xff
+	}
+	wrap[15] = 0xfe // wraps all 16 bytes after the second block
+	var random [16]byte
+	r.Fill(random[:])
+	for _, iv := range [][16]byte{random, wrap} {
+		for n := 0; n <= 600; n++ {
+			buf := make([]byte, n)
+			r.Fill(buf)
+			want := make([]byte, n)
+			cipher.NewCTR(block, iv[:]).XORKeyStream(want, buf)
+			c.CTR(iv, buf)
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("iv %x, %d bytes: CTR = %x, want %x", iv, n, buf, want)
+			}
+		}
+	}
+}
+
 func TestVPNElementEncryptsPayload(t *testing.T) {
 	v, err := NewVPN(unhex(t, "000102030405060708090a0b0c0d0e0f"), nil, 0, 0)
 	if err != nil {
@@ -192,16 +197,5 @@ func TestVPNElementDistinctIVs(t *testing.T) {
 	v.Process(&ctx, &click.Packet{Data: b2, Addr: 0x2000})
 	if bytes.Equal(b1[20:], b2[20:]) {
 		t.Fatal("identical plaintexts encrypted identically: IV reuse")
-	}
-}
-
-func TestMulGaloisField(t *testing.T) {
-	// {57} x {83} = {c1} from FIPS-197 section 4.2.
-	if got := mul(0x57, 0x83); got != 0xc1 {
-		t.Fatalf("mul(0x57,0x83) = %#x, want 0xc1", got)
-	}
-	// {57} x {13} = {fe} from the xtime example.
-	if got := mul(0x57, 0x13); got != 0xfe {
-		t.Fatalf("mul(0x57,0x13) = %#x, want 0xfe", got)
 	}
 }

@@ -21,9 +21,10 @@ type Channel struct {
 	// request can suffer — a finite controller queue. The deterministic
 	// engine leaves it zero (unbounded FCFS); concurrent execution sets
 	// it (see Platform.BoundChannelWaits) because lax clock
-	// synchronisation lets one core replay its quantum after a
-	// neighbour's in host order, and unbounded FCFS would then charge it
-	// the neighbour's whole quantum as phantom queueing.
+	// synchronisation lets one core replay a batch (or, across sockets,
+	// its quantum) after a neighbour's that ran further ahead in virtual
+	// time, and unbounded FCFS would then charge it the neighbour's
+	// run-ahead as phantom queueing.
 	MaxWait uint64
 
 	mu       sync.Mutex

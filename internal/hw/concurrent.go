@@ -2,24 +2,26 @@ package hw
 
 // Concurrent trace execution. The Engine interleaves flows in global
 // virtual-time order on one OS thread; the runtime (package runtime)
-// instead runs one goroutine per simulated core and keeps core clocks
-// loosely synchronised with a time quantum. ExecOps is the per-core
-// execution primitive for that mode: it replays a packet's trace against
-// the simulated hierarchy exactly as Engine.step does, holding the owning
-// socket's lock for the whole trace so that same-socket workers may run
-// concurrently. One acquisition per trace rather than per memory
-// reference keeps the lock's hand-offs off the per-reference path; a
-// worker's Go-side element processing, which builds the next trace,
-// still overlaps its peers' replays.
+// instead drives each socket from its own goroutine, which replays its
+// cores' traces batch by batch in virtual-time order, and keeps core
+// clocks loosely synchronised with a time quantum. ExecOps is the
+// per-core execution primitive for that mode: it replays a packet's
+// trace against the simulated hierarchy exactly as Engine.step does.
 //
-// Lock order: Socket.mu → Channel.mu. Sockets never lock each other —
-// an access only ever touches its own socket's caches; remote-domain
-// traffic goes through the home socket's channels, which are leaf locks.
+// Contract: the cores of one socket are driven by one goroutine at a
+// time. A socket's caches — the shared L3 and, because DMA delivery and
+// inclusive-L3 back-invalidation cross core boundaries, every
+// core-private cache on it — are then touched by that goroutine alone
+// and need no lock. Different sockets may run concurrently: an access
+// only ever touches its own socket's caches, and remote-domain traffic
+// reaches other sockets only through their channels, which lock
+// themselves (see Channel).
 
 // ExecOps replays one packet's micro-operation trace on c, advancing the
-// core's local clock and counters. It is safe to call concurrently from
-// one goroutine per core; two goroutines must never drive the same core.
-// A non-empty trace counts as one processed packet, mirroring Engine.step.
+// core's local clock and counters. Cores of different sockets may
+// execute concurrently; the cores of one socket must be driven by one
+// goroutine at a time. A non-empty trace counts as one processed packet,
+// mirroring Engine.step.
 //
 //dataplane:hotpath
 func (c *Core) ExecOps(ops []Op) {
@@ -44,7 +46,6 @@ func (c *Core) ExecStall(ops []Op) {
 func (c *Core) execTrace(ops []Op) {
 	cfg := &c.Socket.platform.Cfg
 	cnt := &c.Counters
-	c.Socket.mu.Lock()
 	for _, op := range ops {
 		switch op.Kind {
 		case OpCompute:
@@ -84,7 +85,6 @@ func (c *Core) execTrace(ops []Op) {
 			panic("hw: unknown op kind in ExecOps")
 		}
 	}
-	c.Socket.mu.Unlock()
 }
 
 // BoundChannelWaits caps the queueing delay of every channel on the

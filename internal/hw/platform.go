@@ -3,7 +3,6 @@ package hw
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // Core is one processing core: private L1D and L2, a pointer back to its
@@ -23,7 +22,8 @@ type Core struct {
 	// elems is the per-element attribution table installed by
 	// SetElemTable (nil = attribution off); curElem is the slot of the op
 	// currently executing, so Access can attribute L3 traffic without a
-	// wider signature. Both are touched only by the core's own goroutine.
+	// wider signature. Both are touched only by the goroutine driving the
+	// core.
 	elems   []ElemCell
 	curElem uint16
 }
@@ -39,13 +39,6 @@ type Socket struct {
 	L3    *Cache
 	Mem   *Channel // integrated memory controller
 	QPI   *Channel // outgoing interconnect link
-
-	// mu serialises access to the socket's cache state (the shared L3
-	// and, because DMA delivery and inclusive-L3 back-invalidation cross
-	// core boundaries, every core-private cache on the socket) when flows
-	// execute concurrently (see Core.ExecOps). The single-threaded engine
-	// path never takes it.
-	mu sync.Mutex
 
 	platform *Platform
 }

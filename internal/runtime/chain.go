@@ -13,18 +13,21 @@ import (
 // Cross-worker service chains: a staged Click graph (click.AssignStages)
 // runs each stage on its own worker, connected by handoff rings. Unlike
 // the dispatcher's receive rings — refilled only at barriers — handoff
-// rings are live SPSC queues between two concurrently running workers, so
-// a starved stage spin-polls its ring (charging the poll's trace) instead
-// of idling to the quantum boundary: within one quantum its producer may
-// still deliver.
+// rings are live SPSC queues between two workers advancing through the
+// same quantum, so a starved stage spin-polls its ring (charging the
+// poll's trace) instead of idling to the quantum boundary: within one
+// quantum its producer may still deliver. On one socket the spinner
+// yields to its peer once its clock passes the peer's (worker.runBatch);
+// across sockets the two run concurrently.
 //
 // Buffer ownership: every packet buffer comes from the stage-0 worker's
 // NUMA-local pool. A later stage that terminates a packet cannot touch
-// that pool directly (the Go-side free list belongs to the stage-0
-// goroutine), so each stage k>0 owns a return ring back to stage 0: the
-// terminating stage pushes the spent packet (charging the descriptor-line
-// store — the cross-core recycling traffic the paper describes), and
-// stage 0 drains the returns into its pool before pulling new work.
+// that pool directly (the Go-side free list belongs to stage 0, which may
+// run on another socket's goroutine), so each stage k>0 owns a return
+// ring back to stage 0: the terminating stage pushes the spent packet
+// (charging the descriptor-line store — the cross-core recycling traffic
+// the paper describes), and stage 0 drains the returns into its pool
+// before pulling new work.
 
 // chainStage is one stage of one chain replica, bound to one worker.
 type chainStage struct {
@@ -71,7 +74,7 @@ type chainStage struct {
 }
 
 // remoteRecycler routes a spent packet home through the stage's return
-// ring instead of mutating the stage-0 pool from the wrong goroutine.
+// ring instead of mutating the stage-0 pool from another worker.
 // The descriptor-line store it charges is the recycling leg of the
 // hand-off cost; the pool's own free-list trace runs on stage 0 when it
 // drains the ring.
@@ -222,12 +225,12 @@ func (u *chainStage) step(w *worker) ([]hw.Op, int) {
 	} else {
 		// The walk terminated here: this stage records the packet's
 		// end-to-end latency (finished or dropped — either way the packet
-		// left the system) once runQuantum has executed its trace.
+		// left the system) once runBatch has executed its trace.
 		w.pendLat, w.pendHist = enq, &u.lat
 	}
 	if trace != 0 && w.shard != nil {
 		// The stage's trace executes after step returns; leave the span's
-		// identity for runQuantum to timestamp around ExecOps.
+		// identity for runBatch to timestamp around ExecOps.
 		w.pendTrace = trace
 		w.pendPid = u.fl.id
 		w.pendStage = u.stage
@@ -240,7 +243,7 @@ func (u *chainStage) step(w *worker) ([]hw.Op, int) {
 // flush closes the stage's current batch: staged hand-off pushes are
 // published and taken slots released, each with a single cursor store
 // whose simulated cost (charged once per batch — the amortization
-// batching buys) executes as a stall trace. runQuantum calls it after
+// batching buys) executes as a stall trace. runBatch calls it after
 // every batch loop, so ring cursors are exact at barriers and a peer
 // stage never waits past one batch for staged packets.
 func (u *chainStage) flush(w *worker) {

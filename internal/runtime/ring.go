@@ -65,9 +65,18 @@ func NewRing(capacity, maxPacket int) *Ring {
 func (r *Ring) Cap() int { return len(r.slots) }
 
 // Len returns the current occupancy. It is safe to call from any
-// goroutine; the value is naturally racy while producer and consumer run.
+// goroutine; while producer and consumer run the value may be stale, but
+// it is always a consistent pair: head, tail, then head again, retried
+// until both head reads agree, so a pop and a push between the loads
+// cannot make tail − head negative.
 func (r *Ring) Len() int {
-	return int(r.tail.Load() - r.head.Load())
+	for {
+		h := r.head.Load()
+		t := r.tail.Load()
+		if r.head.Load() == h {
+			return int(t - h)
+		}
+	}
 }
 
 // Consumed returns the cumulative number of packets popped from the

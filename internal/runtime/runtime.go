@@ -1,27 +1,30 @@
 // Package runtime is the concurrent multi-core dataplane: it executes
-// Click pipelines on one goroutine per simulated core, fed through
-// bounded SPSC rings by an RSS-sharding dispatcher, with live per-core
+// Click pipelines on one worker per simulated core, fed through bounded
+// SPSC rings by an RSS-sharding dispatcher, with live per-core
 // telemetry driving the paper's two online mechanisms — admission
 // control (containing flows that exceed their profiled memory-reference
 // rate) and contention-aware re-placement of flows across sockets.
 //
-// Where the hw.Engine interleaves flows deterministically on one OS
-// thread in exact global virtual-time order, the runtime lets workers
-// race through a time quantum concurrently and synchronises all core
-// clocks at quantum boundaries (lax conservative synchronisation, as
-// parallel architecture simulators use). Shared cache state is
-// serialised per socket inside hw.Core.ExecOps, so contention between
-// co-located flows remains emergent; only the fine-grained interleaving
-// within a quantum — and therefore the exact drop figures — varies
-// between runs. Dispatch and the control loop run at barrier points,
-// which is also when telemetry is sampled, throttle decisions applied,
-// and flows migrated.
+// Where the hw.Engine interleaves flows in exact global virtual-time
+// order at micro-op granularity, the runtime drives each socket from
+// one goroutine and synchronises all core clocks at quantum boundaries
+// (lax conservative synchronisation, as parallel architecture
+// simulators use). Within a quantum a socket's goroutine replays its
+// workers' batches in virtual-time order — always the worker with the
+// smallest core clock next — so contention between co-located flows
+// remains emergent and a run confined to one socket is reproducible
+// bit for bit. Sockets run concurrently; what crosses them (remote
+// memory channels, cross-socket hand-off rings) follows host order, so
+// multi-socket drop figures still vary slightly between runs. Dispatch
+// and the control loop run at barrier points, which is also when
+// telemetry is sampled, throttle decisions applied, and flows migrated.
 package runtime
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
@@ -124,9 +127,10 @@ type Config struct {
 	// MaxQueueWait bounds any single request's queueing delay at the
 	// memory controllers and QPI links, modelling their finite queues
 	// (default DefaultMaxQueueWait). Required under lax clock
-	// synchronisation — workers replay their quanta in arbitrary host
-	// order, and unbounded FCFS would tax a late replayer with its
-	// neighbours' entire quantum; see hw.Channel.MaxWait.
+	// synchronisation — workers replay whole batches, and other sockets
+	// whole quanta, out of global virtual-time order, and unbounded FCFS
+	// would tax a late replayer with its neighbours' run-ahead; see
+	// hw.Channel.MaxWait.
 	MaxQueueWait uint64
 
 	// MigrateState, when positive, makes live re-placement move a flow's
@@ -190,11 +194,11 @@ type Config struct {
 // waits under a socket-saturating realistic mix. The engine's p99 wait
 // there is ≈ 63 cycles, its mean ≈ 8; under lax synchronisation the
 // bound is hit far more often than a true FCFS queue's tail (a late
-// replayer sees the channel horizon its neighbours' whole quantum
-// ahead), so within the admissible band the smallest value tracks the
-// engine's throughput best: 32 is the low edge of [p99/2, 2·p99], and
-// TestMaxQueueWaitTracksEngine fails if the default ever leaves that
-// band.
+// replayer sees the channel horizon a neighbour's batch, or another
+// socket's quantum, ahead), so within the admissible band the smallest
+// value tracks the engine's throughput best: 32 is the low edge of
+// [p99/2, 2·p99], and TestMaxQueueWaitTracksEngine fails if the default
+// ever leaves that band.
 const DefaultMaxQueueWait = 32
 
 func (c Config) withDefaults() Config {
@@ -348,8 +352,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			socket: sock,
 			src:    newRingSource(arena(sock), cfg.Params.Buffers, maxPkt, 256, cfg.Params.RxBatch),
 			batch:  cfg.Batch,
-			startC: make(chan uint64),
-			doneC:  make(chan struct{}),
 		}
 		r.workers = append(r.workers, w)
 	}
@@ -583,13 +585,23 @@ func (r *Runtime) run(stop func(doneQuanta int, processed uint64) bool) (*Report
 		return nil, fmt.Errorf("runtime: already ran; build a new Runtime")
 	}
 	r.finished = true
-	for _, w := range r.workers {
-		go w.loop()
+	socks := r.socketWorkers()
+	starts := make([]chan int, len(socks))
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, ws := range socks {
+		starts[i] = make(chan int)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runSocket(ws, r.cfg.QuantumCycles, starts[i], done)
+		}()
 	}
 	defer func() {
-		for _, w := range r.workers {
-			close(w.startC)
+		for _, c := range starts {
+			close(c)
 		}
+		wg.Wait()
 	}()
 
 	warmQ := 0
@@ -605,17 +617,11 @@ func (r *Runtime) run(stop func(doneQuanta int, processed uint64) bool) (*Report
 			r.lastControlQ = q - 1
 		}
 		r.disp.enqueue(q)
-		limit := uint64(q+1) * r.cfg.QuantumCycles
-		// Rotate the release order so no worker systematically replays
-		// first (on few host CPUs a quantum's workers run near
-		// sequentially, and the first replayer sees the emptiest
-		// channel queues).
-		n := len(r.workers)
-		for k := 0; k < n; k++ {
-			r.workers[(q+k)%n].startC <- limit
+		for _, c := range starts {
+			c <- q
 		}
-		for _, w := range r.workers {
-			<-w.doneC
+		for range starts {
+			<-done
 		}
 		if q < warmQ {
 			continue
@@ -638,6 +644,64 @@ func (r *Runtime) run(stop func(doneQuanta int, processed uint64) bool) (*Report
 			}
 			return r.buildReport(measured), nil
 		}
+	}
+}
+
+// socketWorkers groups the workers by socket, in worker order, leaving
+// out sockets without workers.
+func (r *Runtime) socketWorkers() [][]*worker {
+	bySocket := make([][]*worker, r.cfg.Cfg.Sockets)
+	for _, w := range r.workers {
+		bySocket[w.socket] = append(bySocket[w.socket], w)
+	}
+	var out [][]*worker
+	for _, ws := range bySocket {
+		if len(ws) > 0 {
+			out = append(out, ws)
+		}
+	}
+	return out
+}
+
+// runSocket is one socket's goroutine: for every quantum q received on
+// start it runs the socket's workers to the quantum boundary, then
+// reports on done. It is the only goroutine driving these cores, which
+// is the contract hw's concurrent trace execution relies on; sockets
+// run concurrently with each other.
+//
+// Within the quantum it replays batches in virtual-time order: it
+// repeatedly runs one batch of the worker whose core clock is smallest
+// and still below the boundary, ties going to the rotation (q+k)%n so
+// no worker systematically replays first, until every worker has
+// reached the boundary (a worker with no input idles to it). A batch's
+// yield bound is the next runnable worker's clock, where a spin-waiting
+// chain stage hands over to the peer it waits for.
+func runSocket(ws []*worker, quantum uint64, start <-chan int, done chan<- struct{}) {
+	n := len(ws)
+	for q := range start {
+		limit := uint64(q+1) * quantum
+		for {
+			var best *worker
+			bestClock, yield := limit, limit
+			for k := 0; k < n; k++ {
+				w := ws[(q+k)%n]
+				switch c := w.core.Clock(); {
+				case c >= limit:
+				case best == nil || c < bestClock:
+					if best != nil {
+						yield = bestClock
+					}
+					best, bestClock = w, c
+				case c < yield:
+					yield = c
+				}
+			}
+			if best == nil {
+				break
+			}
+			best.runBatch(limit, yield)
+		}
+		done <- struct{}{}
 	}
 }
 

@@ -235,7 +235,7 @@ func (rs *ringSource) Pull(ctx *click.Ctx) *click.Packet {
 
 // endBatch closes the worker's current receive burst: the slots taken by
 // PopStaged are released with one cursor store, and the next pull starts
-// a fresh burst (paying a fresh RX poll). Called by runQuantum after
+// a fresh burst (paying a fresh RX poll). Called by runBatch after
 // every batch loop, so ring cursors are exact at barriers.
 //
 //dataplane:hotpath
@@ -254,8 +254,8 @@ func (rs *ringSource) Recycle(ctx *click.Ctx, p *click.Packet) {
 }
 
 // worker is one run-to-completion dataplane thread pinned to one
-// simulated core. It owns the core exclusively; all shared cache state it
-// touches is serialised inside hw (see Core.ExecOps).
+// simulated core. Its socket's goroutine drives it, batch by batch, in
+// virtual-time order with the socket's other workers (see runSocket).
 type worker struct {
 	id     int
 	core   *hw.Core
@@ -311,7 +311,7 @@ type worker struct {
 
 	// shard is the worker's private trace buffer (nil when tracing is
 	// off). A chain stage that processes a sampled packet leaves the
-	// span's identity in the pend fields; runQuantum brackets the trace's
+	// span's identity in the pend fields; runBatch brackets the trace's
 	// execution with core-clock reads and records the span.
 	shard     *obs.TraceShard
 	pendTrace uint64
@@ -321,15 +321,12 @@ type worker struct {
 	pendEnq   bool
 
 	// pendLat carries a finished packet's ring-enqueue stamp from step to
-	// runQuantum, which records finish − enqueue into pendHist after the
+	// runBatch, which records finish − enqueue into pendHist after the
 	// packet's trace has advanced the core clock. pendHist is the
 	// single-writer shard the latency belongs to (the unstaged flow's
 	// histogram, or the terminating chain stage's).
 	pendLat  uint64
 	pendHist *obs.LatHist
-
-	startC chan uint64
-	doneC  chan struct{}
 }
 
 // bind attaches f (an unstaged flow, or nil) to w: the flow's pipeline
@@ -371,97 +368,94 @@ func (w *worker) bindStage(u *chainStage) {
 	}
 }
 
-// loop is the worker goroutine: wait for a quantum, run to its boundary,
-// report back. The channel pair is the synchronisation barrier that keeps
-// core-local virtual clocks within one quantum of each other (lax
-// conservative synchronisation, as parallel architecture simulators use).
-func (w *worker) loop() {
-	for limit := range w.startC {
-		w.runQuantum(limit)
-		w.doneC <- struct{}{}
-	}
-}
-
-// runQuantum executes batches until the core's local clock reaches the
-// quantum boundary. When the input runs dry the worker idles to the
-// boundary: the dispatcher only refills receive rings at barriers, so
-// within a quantum an empty receive ring stays empty. Chain stages may
-// instead emit spin-wait traces with no packet (their hand-off rings are
-// fed live by a concurrently running peer); those advance the clock
-// without counting towards throughput or batch occupancy.
-func (w *worker) runQuantum(limit uint64) {
-	for w.core.Clock() < limit {
-		n := 0
-		progressed := false
-		for n < w.batch && w.core.Clock() < limit {
-			ops, pkts := w.step()
-			if len(ops) == 0 {
+// runBatch executes one batch poll: up to w.batch packets, cut short
+// when the core's clock reaches limit or the input runs dry; a worker
+// whose input is already dry idles to limit. The dispatcher only refills
+// receive rings at barriers, so within a quantum an empty receive ring
+// stays empty. Chain stages may instead emit spin-wait traces with no
+// packet (their hand-off rings are fed live by a peer); those advance
+// the clock without counting towards throughput or batch occupancy, and
+// end the batch once the clock reaches yield — the clock of the
+// socket's next runnable worker, which in virtual time runs before the
+// spinner polls again (see runSocket).
+func (w *worker) runBatch(limit, yield uint64) {
+	n := 0
+	progressed, yielded := false, false
+	for n < w.batch && w.core.Clock() < limit {
+		ops, pkts := w.step()
+		if len(ops) == 0 {
+			break
+		}
+		progressed = true
+		if pkts > 0 {
+			if w.pendTrace != 0 {
+				// A sampled packet's stage work: bracket its execution
+				// with core-clock reads so the span is the charged
+				// virtual time, hand-off costs included.
+				start := w.core.Clock()
+				w.core.ExecOps(ops)
+				w.shard.Exec(obs.TraceEvent{
+					Trace: w.pendTrace, Pid: w.pendPid, Tid: w.id,
+					Stage: w.pendStage, Start: start, End: w.core.Clock(),
+					Dequeued: w.pendDeq, Enqueued: w.pendEnq,
+				})
+				w.pendTrace = 0
+			} else {
+				w.core.ExecOps(ops)
+			}
+			if w.pendHist != nil {
+				// The packet's walk terminated this step: its end-to-end
+				// latency is the core clock now that its trace has
+				// executed, minus the dispatcher's enqueue stamp.
+				w.pendHist.Observe(w.core.Clock() - w.pendLat)
+				w.pendHist = nil
+			}
+			w.packets++
+			if w.mPackets != nil {
+				w.mPackets.Inc()
+			}
+			n++
+		} else {
+			w.core.ExecStall(ops)
+			if c := w.core.Clock(); c >= yield && c < limit {
+				yielded = true
 				break
 			}
-			progressed = true
-			if pkts > 0 {
-				if w.pendTrace != 0 {
-					// A sampled packet's stage work: bracket its execution
-					// with core-clock reads so the span is the charged
-					// virtual time, hand-off costs included.
-					start := w.core.Clock()
-					w.core.ExecOps(ops)
-					w.shard.Exec(obs.TraceEvent{
-						Trace: w.pendTrace, Pid: w.pendPid, Tid: w.id,
-						Stage: w.pendStage, Start: start, End: w.core.Clock(),
-						Dequeued: w.pendDeq, Enqueued: w.pendEnq,
-					})
-					w.pendTrace = 0
-				} else {
-					w.core.ExecOps(ops)
-				}
-				if w.pendHist != nil {
-					// The packet's walk terminated this step: its end-to-end
-					// latency is the core clock now that its trace has
-					// executed, minus the dispatcher's enqueue stamp.
-					w.pendHist.Observe(w.core.Clock() - w.pendLat)
-					w.pendHist = nil
-				}
-				w.packets++
-				if w.mPackets != nil {
-					w.mPackets.Inc()
-				}
-				n++
-			} else {
-				w.core.ExecStall(ops)
-			}
 		}
-		// Close the batch: release the receive ring's cursor once for the
-		// whole burst, and publish/release any slots a chain stage staged
-		// on its hand-off rings.
-		if w.src != nil {
-			w.src.endBatch()
+	}
+	// Close the batch: release the receive ring's cursor once for the
+	// whole burst, and publish/release any slots a chain stage staged on
+	// its hand-off rings.
+	if w.src != nil {
+		w.src.endBatch()
+	}
+	if w.unit != nil {
+		w.unit.flush(w)
+	}
+	switch {
+	case yielded && n == 0:
+		// A spin handed the socket to a peer before any packet arrived:
+		// a wait, not a poll observation.
+	case progressed && n < w.batch && w.core.Clock() >= limit && w.inputReady():
+		// The quantum boundary cut this batch short with input still
+		// available: its fill reflects the clock, not the ring, so it is
+		// counted apart instead of biasing occupancy low.
+		w.winClipped++
+		w.totClipped++
+		if w.mClipped != nil {
+			w.mClipped.Inc()
 		}
-		if w.unit != nil {
-			w.unit.flush(w)
+	default:
+		w.winBatchSum += uint64(n)
+		w.winBatchCnt++
+		w.totBatchSum += uint64(n)
+		w.totBatchCnt++
+		if w.mBatch != nil {
+			w.mBatch.Observe(float64(n))
 		}
-		if progressed && n < w.batch && w.core.Clock() >= limit && w.inputReady() {
-			// The quantum boundary cut this batch short with input still
-			// available: its fill reflects the clock, not the ring, so it
-			// is counted apart instead of biasing occupancy low.
-			w.winClipped++
-			w.totClipped++
-			if w.mClipped != nil {
-				w.mClipped.Inc()
-			}
-		} else {
-			w.winBatchSum += uint64(n)
-			w.winBatchCnt++
-			w.totBatchSum += uint64(n)
-			w.totBatchCnt++
-			if w.mBatch != nil {
-				w.mBatch.Observe(float64(n))
-			}
-		}
-		if !progressed {
-			w.core.AdvanceTo(limit)
-			return
-		}
+	}
+	if !progressed {
+		w.core.AdvanceTo(limit)
 	}
 }
 
@@ -510,7 +504,7 @@ func (w *worker) step() ([]hw.Op, int) {
 		w.fl.packets++
 		if w.src.lastEnqOK {
 			// Run-to-completion: the packet pulled this step also finished
-			// this step; leave its stamp for runQuantum to record once the
+			// this step; leave its stamp for runBatch to record once the
 			// trace has executed.
 			w.pendLat, w.pendHist = w.src.lastEnq, &w.fl.lat
 		}
