@@ -26,6 +26,7 @@ import (
 	"pktpredict/internal/dpi"
 	"pktpredict/internal/handoff"
 	"pktpredict/internal/hw"
+	"pktpredict/internal/iplookup"
 	"pktpredict/internal/mem"
 	"pktpredict/internal/nic"
 	"pktpredict/internal/obs"
@@ -222,6 +223,19 @@ func TestHotPathAllocs(t *testing.T) {
 		ban.Check(ctx, banIP)
 	})
 
+	// iplookup: the route trie walk behind every realistic flow type.
+	routes, err := iplookup.RandomTable(4000, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trie := iplookup.New(arena, routes)
+	var dstIP uint32
+	gate(t, "iplookup.RadixTrie.Lookup", func() {
+		ctx.Ops = ctx.Ops[:0]
+		dstIP += 0x9e3779b1
+		trie.Lookup(ctx, dstIP)
+	})
+
 	// aes: the VPN element's per-packet payload encryption.
 	aesc, err := aes.NewCipher(make([]byte, aes.KeySize))
 	if err != nil {
@@ -276,6 +290,7 @@ var hotpathDirect = map[string]bool{
 	"dpi.Entropy.EstimateBits":      true,
 	"dpi.BanTable.Check":            true,
 	"aes.Cipher.CTR":                true,
+	"iplookup.RadixTrie.Lookup":     true,
 }
 
 // hotpathIndirect lists annotated functions that cannot be driven from

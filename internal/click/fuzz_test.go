@@ -12,7 +12,7 @@ import (
 // which must reject or accept it without panicking — configurations are
 // user input. The seed corpus covers the grammar's corners: output
 // ports, input ports, routers, tees, fan-in, inline anonymous elements,
-// comments, and malformed port brackets.
+// comments, malformed port brackets, and out-of-range element arguments.
 func FuzzParseConfig(f *testing.F) {
 	seeds := []string{
 		`src :: TSource(COUNT 2); src -> TElem -> TDrop;`,
@@ -54,6 +54,11 @@ func FuzzParseConfig(f *testing.F) {
 		"src :: FromDevice(SIG_HIT 1.5);",
 		"src :: FromDevice(SIG_HIT 0.5, SIG_COUNT 0);",
 		"src :: FromDevice(LOW_ENTROPY_BITS 9);",
+		// Route-table sizes, constructed for real (see registered_test.go):
+		// out-of-range counts must fail the parse, not panic at build.
+		"src :: TSource; src -> RadixIPLookup(ROUTES 64, SEED 3) -> TElem;",
+		"rt :: RadixIPLookup(ROUTES -5);",
+		"rt :: RadixIPLookup(ROUTES 99999999999);",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -2,6 +2,7 @@ package iplookup
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
@@ -65,19 +66,28 @@ func (e *Element) Stat(name string) (uint64, bool) {
 	return 0, false
 }
 
+// maxRoutes bounds RadixIPLookup's ROUTES at 131 times the paper's
+// table. A table's host memory and build time grow with its route count,
+// so a mistyped count fails at parse time instead of exhausting the host.
+const maxRoutes = 1 << 24
+
 func init() {
 	click.Register("RadixIPLookup", func(env *click.Env, args click.Args) (interface{}, error) {
 		n, err := args.Int("ROUTES", 128000)
 		if err != nil {
 			return nil, err
 		}
+		if n < 0 || n > maxRoutes {
+			return nil, fmt.Errorf("iplookup: RadixIPLookup ROUTES %d outside [0, %d]", n, maxRoutes)
+		}
 		seed, err := args.Uint64("SEED", env.Seed)
 		if err != nil {
 			return nil, err
 		}
-		t := New(env.Arena, nil)
-		RandomTable(t, n, seed)
-		t.recordFootprint()
-		return NewElement(t, env.Arena, n+1), nil
+		t, err := sharedRandomTable(n, seed, nil)
+		if err != nil {
+			return nil, err
+		}
+		return NewElement(New(env.Arena, t), env.Arena, n+1), nil
 	})
 }

@@ -11,6 +11,12 @@
 // levels), giving random-destination lookups the multi-node, multi-line
 // walk that makes radix-trie IP lookup cache-hungry on the paper's
 // platform.
+//
+// A trie has two halves. The host-side Table is immutable once built and
+// may back any number of RadixTrie views at once, from any goroutine;
+// each view owns its simulated placement (its arena reservations and
+// recorded footprint), so views of one Table emit the traces separate
+// copies of it would.
 package iplookup
 
 import (
@@ -31,36 +37,62 @@ const NoRoute = ^uint32(0)
 var DefaultStrides = []int{8, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}
 
 // entry is one slot of a trie node. Entries are stored in a single flat
-// array (nodes are 2^stride consecutive entries) to keep the Go-side
-// memory proportional to the simulated layout.
+// array (nodes are 2^stride consecutive entries), each the size of its
+// simulated counterpart.
 type entry struct {
 	route uint32 // NoRoute if none
 	child int32  // node id, -1 if none
-	plen  int8   // original prefix length of route; -1 if none
 }
 
-// simEntryBytes is each entry's simulated size.
-const simEntryBytes = 8
+const (
+	// simEntryBytes is each entry's simulated size; simNodeBytes is each
+	// node descriptor's.
+	simEntryBytes = 8
+	simNodeBytes  = 8
+	// maxEntries and maxNodes are the extents every view reserves in
+	// simulated memory (512 MiB and 128 MiB of address space, of which
+	// only the built table is ever touched). A larger table would run
+	// into the next reservation, so Build rejects it.
+	maxEntries = 1 << 26
+	maxNodes   = 1 << 24
+)
 
-// RadixTrie is a multi-bit trie over IPv4 prefixes. Prefix lengths that
-// do not align with a level boundary are expanded into the covering level
-// (controlled prefix expansion), preserving exact longest-prefix-match
-// semantics.
-type RadixTrie struct {
+// Table is the host-side half of a multi-bit trie over IPv4 prefixes:
+// immutable once built, so it is safe to share across goroutines. Prefix
+// lengths that do not align with a level boundary are expanded into the
+// covering level (controlled prefix expansion), preserving exact
+// longest-prefix-match semantics. Nodes are numbered in creation order
+// and sit at the level their walk depth reaches.
+type Table struct {
 	strides []int
 	bounds  []int   // cumulative prefix-length boundaries
-	level   []int32 // level of each node (index into strides)
 	offset  []int32 // first entry index of each node
 	entries []entry
-	base    hw.Addr // simulated base of the entry array
-	hdrBase hw.Addr // simulated base of the node-descriptor array
-	arena   *mem.Arena
 	routes  int
 }
 
-// New builds an empty trie allocating node memory from arena. A nil
-// strides uses DefaultStrides.
-func New(arena *mem.Arena, strides []int) *RadixTrie {
+// Routes returns the number of inserted prefixes.
+func (t *Table) Routes() int { return t.routes }
+
+// Nodes returns the number of allocated trie nodes.
+func (t *Table) Nodes() int { return len(t.offset) }
+
+// SimBytes returns the trie's simulated memory footprint (entries
+// actually allocated, not the reserved range).
+func (t *Table) SimBytes() uint64 {
+	return uint64(len(t.entries)) * simEntryBytes
+}
+
+// Builder fills a Table by insertion.
+type Builder struct {
+	t    Table
+	plen []int8 // per entry: prefix length of its route, -1 if none
+}
+
+// NewBuilder starts an empty trie with the given level layout (nil means
+// DefaultStrides). It panics on a layout that does not cover exactly 32
+// bits in strides of 1..16.
+func NewBuilder(strides []int) *Builder {
 	if strides == nil {
 		strides = DefaultStrides
 	}
@@ -76,57 +108,25 @@ func New(arena *mem.Arena, strides []int) *RadixTrie {
 	if total != 32 {
 		panic(fmt.Sprintf("iplookup: strides cover %d bits, want 32", total))
 	}
-	t := &RadixTrie{strides: strides, bounds: bounds, arena: arena}
-	// Reserve generous contiguous simulated ranges for entries and node
-	// descriptors; actual usage is bounded by insertions. 1<<26 entries
-	// × 8 B = 512 MiB of address space, of which only allocated entries
-	// are ever touched — recordFootprint reports the touched extent once
-	// the table is populated, so the reservation never counts as state.
-	t.base = arena.Reserve(uint64(1<<26)*simEntryBytes, hw.LineSize)
-	t.hdrBase = arena.Reserve(uint64(1<<24)*8, hw.LineSize)
-	t.newNode(0) // root
-	return t
+	b := &Builder{t: Table{strides: strides, bounds: bounds}}
+	b.newNode(0) // root
+	return b
 }
 
-// recordFootprint reports the trie's touched extents to the arena's
-// binding record: the bytes lookups actually reference, and the bytes a
-// state migration would copy. Call it after the table is populated.
-func (t *RadixTrie) recordFootprint() {
-	t.arena.Record(t.base, uint64(len(t.entries))*simEntryBytes)
-	t.arena.Record(t.hdrBase, uint64(len(t.level))*8)
-}
-
-func (t *RadixTrie) newNode(level int) int32 {
-	size := 1 << t.strides[level]
-	off := int32(len(t.entries))
+func (b *Builder) newNode(level int) int32 {
+	size := 1 << b.t.strides[level]
+	off := int32(len(b.t.entries))
 	for i := 0; i < size; i++ {
-		t.entries = append(t.entries, entry{route: NoRoute, child: -1, plen: -1})
+		b.t.entries = append(b.t.entries, entry{route: NoRoute, child: -1})
+		b.plen = append(b.plen, -1)
 	}
-	t.level = append(t.level, int32(level))
-	t.offset = append(t.offset, off)
-	return int32(len(t.level) - 1)
-}
-
-// entryAddr returns the simulated address of entry index e.
-func (t *RadixTrie) entryAddr(e int32) hw.Addr {
-	return t.base + hw.Addr(uint64(e)*simEntryBytes)
-}
-
-// Routes returns the number of inserted prefixes.
-func (t *RadixTrie) Routes() int { return t.routes }
-
-// Nodes returns the number of allocated trie nodes.
-func (t *RadixTrie) Nodes() int { return len(t.level) }
-
-// SimBytes returns the trie's simulated memory footprint (entries
-// actually allocated, not the reserved range).
-func (t *RadixTrie) SimBytes() uint64 {
-	return uint64(len(t.entries)) * simEntryBytes
+	b.t.offset = append(b.t.offset, off)
+	return int32(len(b.t.offset) - 1)
 }
 
 // Insert adds a route for prefix/plen. Later inserts for the same prefix
 // overwrite earlier ones. Inserting plen 0 sets the default route.
-func (t *RadixTrie) Insert(prefix uint32, plen int, nexthop uint32) {
+func (b *Builder) Insert(prefix uint32, plen int, nexthop uint32) {
 	if plen < 0 || plen > 32 {
 		panic(fmt.Sprintf("iplookup: prefix length %d invalid", plen))
 	}
@@ -134,8 +134,8 @@ func (t *RadixTrie) Insert(prefix uint32, plen int, nexthop uint32) {
 		panic("iplookup: nexthop collides with NoRoute sentinel")
 	}
 	prefix &= maskOf(plen)
-	t.insert(0, 0, prefix, plen, nexthop)
-	t.routes++
+	b.insert(0, 0, prefix, plen, nexthop)
+	b.t.routes++
 }
 
 func maskOf(plen int) uint32 {
@@ -147,38 +147,75 @@ func maskOf(plen int) uint32 {
 
 // insert walks to the level whose boundary covers plen, expanding the
 // prefix across all entries it covers at that level.
-func (t *RadixTrie) insert(node int32, depth int, prefix uint32, plen int, nexthop uint32) {
-	level := int(t.level[node])
-	stride := t.strides[level]
-	shift := 32 - depth - stride
-	index := int(prefix>>shift) & (1<<stride - 1)
-	off := t.offset[node]
+func (b *Builder) insert(node int32, level int, prefix uint32, plen int, nexthop uint32) {
+	stride := b.t.strides[level]
+	depth := b.t.bounds[level] - stride
+	index := int(prefix>>(32-depth-stride)) & (1<<stride - 1)
+	off := b.t.offset[node]
 
-	if plen <= t.bounds[level] {
+	if plen <= b.t.bounds[level] {
 		// The prefix ends at or within this level: expand it over all
 		// entries whose top bits match. A longer prefix expanded earlier
 		// onto the same entries keeps precedence.
-		low := plen - depth
-		if low < 0 {
-			low = 0
-		}
+		low := max(plen-depth, 0)
 		span := 1 << (stride - low)
-		start := index &^ (span - 1)
-		for i := start; i < start+span; i++ {
-			e := &t.entries[off+int32(i)]
-			if int(e.plen) <= plen {
-				e.route = nexthop
-				e.plen = int8(plen)
+		start := off + int32(index&^(span-1))
+		for i := start; i < start+int32(span); i++ {
+			if int(b.plen[i]) <= plen {
+				b.t.entries[i].route = nexthop
+				b.plen[i] = int8(plen)
 			}
 		}
 		return
 	}
-	child := t.entries[off+int32(index)].child
+	child := b.t.entries[off+int32(index)].child
 	if child < 0 {
-		child = t.newNode(level + 1)
-		t.entries[off+int32(index)].child = child
+		child = b.newNode(level + 1)
+		b.t.entries[off+int32(index)].child = child
 	}
-	t.insert(child, depth+stride, prefix, plen, nexthop)
+	b.insert(child, level+1, prefix, plen, nexthop)
+}
+
+// Build finishes the trie and returns it as an immutable Table; the
+// builder must not be used afterwards. It fails if the table outgrows
+// the simulated range a view reserves for it.
+func (b *Builder) Build() (*Table, error) {
+	if err := checkFits(len(b.t.offset), len(b.t.entries)); err != nil {
+		return nil, err
+	}
+	t := b.t
+	*b = Builder{}
+	return &t, nil
+}
+
+// checkFits rejects a table of the given size that would overflow the
+// simulated ranges a view reserves for its entries and node descriptors.
+func checkFits(nodes, entries int) error {
+	if entries > maxEntries || nodes > maxNodes {
+		return fmt.Errorf("iplookup: route table of %d nodes and %d entries exceeds the reserved %d nodes and %d entries",
+			nodes, entries, maxNodes, maxEntries)
+	}
+	return nil
+}
+
+// RadixTrie is one instance of a route table in simulated memory: a view
+// of a shared Table placed at its own simulated addresses.
+type RadixTrie struct {
+	*Table
+	base    hw.Addr // simulated base of the entry array
+	hdrBase hw.Addr // simulated base of the node-descriptor array
+}
+
+// New places a view of t in arena: it reserves the simulated entry and
+// node-descriptor ranges and records the extents lookups touch, which are
+// also the bytes a state migration copies, as the arena's bindings.
+func New(arena *mem.Arena, t *Table) *RadixTrie {
+	v := &RadixTrie{Table: t}
+	v.base = arena.Reserve(maxEntries*simEntryBytes, hw.LineSize)
+	v.hdrBase = arena.Reserve(maxNodes*simNodeBytes, hw.LineSize)
+	arena.Record(v.base, uint64(len(t.entries))*simEntryBytes)
+	arena.Record(v.hdrBase, uint64(len(t.offset))*simNodeBytes)
+	return v
 }
 
 // Lookup returns the longest-prefix-match next hop for dst, emitting the
@@ -186,59 +223,40 @@ func (t *RadixTrie) insert(node int32, depth int, prefix uint32, plen int, nexth
 // load (the stride/occupancy word a compressed multibit trie reads
 // first) and an entry load, as tree-bitmap-style lookup structures do.
 //
+//dataplane:hotpath
 //dataplane:stamped emits under the caller's Ctx bracket (called from Element.Process)
-func (t *RadixTrie) Lookup(ctx *click.Ctx, dst uint32) uint32 {
+func (v *RadixTrie) Lookup(ctx *click.Ctx, dst uint32) uint32 {
+	entries, offset, base, hdrBase := v.entries, v.offset, v.base, v.hdrBase
 	best := NoRoute
 	node := int32(0)
 	depth := 0
-	for {
-		ctx.Load(t.hdrBase + hw.Addr(uint64(node)*8))
-		level := int(t.level[node])
-		stride := t.strides[level]
-		shift := 32 - depth - stride
-		index := int32(dst>>shift) & (1<<stride - 1)
-		e := t.entries[t.offset[node]+index]
-		ctx.Load(t.entryAddr(t.offset[node] + index))
+	// The last level's entries have no children, so the walk
+	// stops before it runs out of strides.
+	for _, stride := range v.strides {
+		ctx.Load(hdrBase + hw.Addr(uint64(node)*simNodeBytes))
+		i := offset[node] + int32(dst>>(32-depth-stride))&(1<<stride-1)
+		e := entries[i]
+		ctx.Load(base + hw.Addr(uint64(i)*simEntryBytes))
 		ctx.Compute(7, 9) // shift/mask/branch per level
 		if e.route != NoRoute {
 			best = e.route
 		}
 		if e.child < 0 {
-			return best
+			break
 		}
 		node = e.child
 		depth += stride
 	}
+	return best
 }
 
-// LookupPlain is Lookup without trace emission, for tests and table
-// verification.
-func (t *RadixTrie) LookupPlain(dst uint32) uint32 {
-	best := NoRoute
-	node := int32(0)
-	depth := 0
-	for {
-		level := int(t.level[node])
-		stride := t.strides[level]
-		shift := 32 - depth - stride
-		index := int32(dst>>shift) & (1<<stride - 1)
-		e := t.entries[t.offset[node]+index]
-		if e.route != NoRoute {
-			best = e.route
-		}
-		if e.child < 0 {
-			return best
-		}
-		node = e.child
-		depth += stride
-	}
-}
-
-// RandomTable fills the trie with n routes whose prefix lengths follow a
+// RandomTable builds a table of n routes whose prefix lengths follow a
 // backbone-like mix (20% /16, 20% /20, 60% /24), plus a default route,
 // mirroring the paper's 128000-entry table loaded with random prefixes.
-// Next hops index an adjacency table of n+1 entries (see Element).
-func RandomTable(t *RadixTrie, n int, seed uint64) {
+// Next hops index an adjacency table of n+1 entries (see Element). A nil
+// strides uses DefaultStrides. It fails, before building anything, on a
+// table that would not fit a view's reserved range.
+func RandomTable(n int, seed uint64, strides []int) (*Table, error) {
 	type route struct {
 		prefix, nexthop uint32
 		plen            int
@@ -260,35 +278,44 @@ func RandomTable(t *RadixTrie, n int, seed uint64) {
 		routes[i] = route{prefix, uint32(r.Intn(n)) + 1, plen}
 		keys[i] = uint64(prefix&maskOf(plen))<<8 | uint64(plen)
 	}
-	t.reserve(keys)
-	t.Insert(0, 0, 0) // default route: every lookup resolves
-	for _, rt := range routes {
-		t.Insert(rt.prefix, rt.plen, rt.nexthop)
+	b := NewBuilder(strides)
+	if err := b.reserve(keys); err != nil {
+		return nil, err
 	}
+	b.Insert(0, 0, 0) // default route: every lookup resolves
+	for _, rt := range routes {
+		b.Insert(rt.prefix, rt.plen, rt.nexthop)
+	}
+	return b.Build()
 }
 
 // reserve sizes the node arrays for inserting the given routes, each
 // packed as masked prefix<<8 | length, so that the build allocates them
-// once instead of growing them by doubling. It sorts keys.
-func (t *RadixTrie) reserve(keys []uint64) {
+// once instead of growing them by doubling. It sorts keys, and fails,
+// allocating nothing, if the routes would not fit (see checkFits).
+func (b *Builder) reserve(keys []uint64) error {
 	slices.Sort(keys)
-	nodes, entries := len(t.level), len(t.entries)
-	for l, b := range t.bounds[:len(t.bounds)-1] {
+	nodes, entries := len(b.t.offset), len(b.t.entries)
+	for l, bound := range b.t.bounds[:len(b.t.bounds)-1] {
 		// A route longer than a level's boundary descends into the child
-		// its top b bits select at that level; count the distinct ones.
+		// its top bound bits select at that level; count the distinct ones.
 		count, last := 0, uint64(1)<<32
 		for _, k := range keys {
-			if int(k&0xff) <= b {
+			if int(k&0xff) <= bound {
 				continue
 			}
-			if top := k >> 8 >> (32 - b); top != last {
+			if top := k >> 8 >> (32 - bound); top != last {
 				count, last = count+1, top
 			}
 		}
 		nodes += count
-		entries += count << t.strides[l+1]
+		entries += count << b.t.strides[l+1]
 	}
-	t.entries = slices.Grow(t.entries, entries-len(t.entries))
-	t.level = slices.Grow(t.level, nodes-len(t.level))
-	t.offset = slices.Grow(t.offset, nodes-len(t.offset))
+	if err := checkFits(nodes, entries); err != nil {
+		return err
+	}
+	b.t.entries = slices.Grow(b.t.entries, entries-len(b.t.entries))
+	b.plen = slices.Grow(b.plen, entries-len(b.plen))
+	b.t.offset = slices.Grow(b.t.offset, nodes-len(b.t.offset))
+	return nil
 }

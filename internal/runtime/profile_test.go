@@ -3,6 +3,7 @@ package runtime
 import (
 	"reflect"
 	gort "runtime"
+	"strings"
 	"testing"
 
 	"pktpredict/internal/apps"
@@ -44,5 +45,23 @@ func TestProfileFlowsParallelismInvariant(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("profiles differ with parallelism:\nGOMAXPROCS 1: %+v\nGOMAXPROCS 4: %+v", serial, parallel)
+	}
+}
+
+// TestProfileFlowsRejectsBadElementArgs checks that an element argument
+// out of range in a custom graph comes back from ProfileFlows as an
+// error. Profiling builds flows on its sweep goroutines, where a panic
+// would kill the process instead of failing the configuration.
+func TestProfileFlowsRejectsBadElementArgs(t *testing.T) {
+	params := apps.Small()
+	params.Custom = map[apps.FlowType]apps.CustomFlow{
+		"BADRT": {
+			Config:     "src :: FromDevice(SIZE 64); src -> RadixIPLookup(ROUTES -5) -> ToDevice;",
+			PacketSize: 64,
+		},
+	}
+	_, err := ProfileFlows(testCfg(), params, 0.0002, 0.0005, []int{100, 0}, []apps.FlowType{"BADRT"})
+	if err == nil || !strings.Contains(err.Error(), "ROUTES") {
+		t.Fatalf("ProfileFlows with ROUTES -5: err = %v, want a ROUTES range error", err)
 	}
 }
